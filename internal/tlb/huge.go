@@ -21,9 +21,6 @@ const hugeTrackBit pt.VPN = 1 << 50
 // LookupHuge consults the huge array for the 2 MB translation covering
 // vpn. The returned line's PFN is the *base* frame of the huge page.
 func (t *TLB) LookupHuge(tag Tag, vpn pt.VPN) (Line, bool) {
-	if t.huge == nil {
-		return Line{}, false
-	}
 	k := Key{tag, pt.HugeBase(vpn)}
 	if ln, ok := t.huge.get(k); ok {
 		t.Stats.Hits++
@@ -34,9 +31,6 @@ func (t *TLB) LookupHuge(tag Tag, vpn pt.VPN) (Line, bool) {
 
 // InsertHuge caches a 2 MB translation (base VPN → base PFN).
 func (t *TLB) InsertHuge(tag Tag, base pt.VPN, pfn mem.PFN, writable bool) {
-	if t.huge == nil {
-		t.huge = newLRU(hugeEntries)
-	}
 	t.Stats.Inserts++
 	k := Key{tag, pt.HugeBase(base)}
 	if old, ok := t.huge.remove(k); ok {
@@ -64,9 +58,6 @@ func (t *TLB) droppedHuge(ln Line) {
 // invalidateHugeCovering removes the huge translation covering vpn, if
 // cached (INVLPG invalidates any translation for the address).
 func (t *TLB) invalidateHugeCovering(tag Tag, vpn pt.VPN) bool {
-	if t.huge == nil {
-		return false
-	}
 	if ln, ok := t.huge.remove(Key{tag, pt.HugeBase(vpn)}); ok {
 		t.droppedHuge(ln)
 		return true
@@ -76,26 +67,10 @@ func (t *TLB) invalidateHugeCovering(tag Tag, vpn pt.VPN) bool {
 
 // flushHugeWhere drops huge entries matching pred.
 func (t *TLB) flushHugeWhere(pred func(Line) bool) {
-	if t.huge == nil {
-		return
-	}
-	var victims []Key
-	t.huge.forEach(func(ln Line) {
-		if pred(ln) {
-			victims = append(victims, ln.Key)
-		}
-	})
-	for _, k := range victims {
-		if ln, ok := t.huge.remove(k); ok {
-			t.droppedHuge(ln)
-		}
-	}
+	t.huge.removeWhere(pred, t.droppedHuge)
 }
 
 // HasHuge reports whether the 2 MB translation covering vpn is cached.
 func (t *TLB) HasHuge(tag Tag, vpn pt.VPN) bool {
-	if t.huge == nil {
-		return false
-	}
 	return t.huge.contains(Key{tag, pt.HugeBase(vpn)})
 }

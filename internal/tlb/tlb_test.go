@@ -309,25 +309,29 @@ func TestLRUNodeRecycling(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.put(Line{Key: Key{VPN: pt.VPN(i)}, PFN: mem.PFN(i)})
 	}
+	storage := cap(c.slots)
 	// Remove everything, then refill: the refill must reuse the retired
-	// nodes rather than allocate.
+	// slots rather than grow storage.
 	for i := 0; i < 4; i++ {
 		if _, ok := c.remove(Key{VPN: pt.VPN(i)}); !ok {
 			t.Fatalf("remove(%d) missed", i)
 		}
 	}
 	freed := 0
-	for n := c.free; n != nil; n = n.next {
+	for s := c.free; s != noSlot; s = c.slots[s].next {
 		freed++
 	}
 	if freed != 4 {
-		t.Fatalf("free list holds %d nodes, want 4", freed)
+		t.Fatalf("free list holds %d slots, want 4", freed)
 	}
 	for i := 10; i < 14; i++ {
 		c.put(Line{Key: Key{VPN: pt.VPN(i)}, PFN: mem.PFN(i)})
 	}
-	if c.free != nil {
+	if c.free != noSlot {
 		t.Fatal("free list not drained by refill")
+	}
+	if len(c.slots) != 4 || cap(c.slots) != storage {
+		t.Fatalf("storage grew on refill: len %d cap %d, want 4 and %d", len(c.slots), cap(c.slots), storage)
 	}
 	if c.len() != 4 {
 		t.Fatalf("len = %d, want 4", c.len())
@@ -336,6 +340,62 @@ func TestLRUNodeRecycling(t *testing.T) {
 	victim, evicted := c.put(Line{Key: Key{VPN: 99}})
 	if !evicted || victim.Key.VPN != 10 {
 		t.Fatalf("evicted %v (%v), want VPN 10", victim.Key.VPN, evicted)
+	}
+}
+
+// Level sizes of the two machine specs (topo.TwoSocket16 and
+// topo.EightSocket120): L1 64 entries, L2 1024 and 512.
+var benchLevels = []struct {
+	name   string
+	l1, l2 int
+}{{"2x8", 64, 1024}, {"8x15", 64, 512}}
+
+var sinkTLB *TLB
+
+func BenchmarkTLBNew(b *testing.B) {
+	for _, lv := range benchLevels {
+		b.Run(lv.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkTLB = New(0, lv.l1, lv.l2, nil)
+			}
+		})
+	}
+}
+
+var sinkLine Line
+
+// BenchmarkTLBLookupHit looks up a resident set that fills L1 and half of
+// L2, so hits come from both levels and L2 hits promote.
+func BenchmarkTLBLookupHit(b *testing.B) {
+	tb := New(0, 64, 1024, nil)
+	const resident = 64 + 512
+	for v := 0; v < resident; v++ {
+		tb.Insert(Tag{PCID: 1}, pt.VPN(v), mem.PFN(v), true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ln, ok := tb.Lookup(Tag{PCID: 1}, pt.VPN(i*7919%resident))
+		if !ok {
+			b.Fatal("miss on a resident page")
+		}
+		sinkLine = ln
+	}
+}
+
+// BenchmarkTLBLookupMiss looks up pages never inserted into a full TLB.
+func BenchmarkTLBLookupMiss(b *testing.B) {
+	tb := New(0, 64, 1024, nil)
+	for v := 0; v < 64+1024; v++ {
+		tb.Insert(Tag{PCID: 1}, pt.VPN(v), mem.PFN(v), true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tb.Lookup(Tag{PCID: 1}, pt.VPN(1<<30+i)); ok {
+			b.Fatal("hit on a page never inserted")
+		}
 	}
 }
 
