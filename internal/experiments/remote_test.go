@@ -44,3 +44,20 @@ func TestRemoteMemoryDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteMemoryABISCoherent runs the 2x8 ABIS cell with the reuse
+// invariant checked. Swap-ins fill TLBs; a fill the policy never hears of
+// is a sharer ABIS's next swap-out shootdown skips, and the checker then
+// panics on reusing a frame that core still caches.
+func TestRemoteMemoryABISCoherent(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("2x8/abis with invariants checked: %v", r)
+		}
+	}()
+	o := Options{Quick: true, Seed: 1, CheckInvariants: true}
+	r := runRemoteMemory("2x8", "abis", 150*sim.Millisecond, o)
+	if r.SwapIns == 0 || r.SwapOuts == 0 {
+		t.Fatalf("swap-ins %d, swap-outs %d: the cell no longer pages", r.SwapIns, r.SwapOuts)
+	}
+}

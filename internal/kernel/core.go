@@ -191,6 +191,17 @@ func (c *Core) endSpin(cont func()) {
 // packages: consume d nanoseconds on this core, then run cont. See busy.
 func (c *Core) Busy(d sim.Time, irqOff bool, cont func()) { c.busy(d, irqOff, cont) }
 
+// BusyThen is Busy for a charge that is usually zero, such as a policy's
+// TLB-fill hook: with d == 0 it runs cont at once instead of scheduling an
+// empty segment, so a zero-cost hook leaves the event stream unchanged.
+func (c *Core) BusyThen(d sim.Time, cont func()) {
+	if d == 0 {
+		cont()
+		return
+	}
+	c.busy(d, false, cont)
+}
+
 // Inject exposes interrupt-style CPU stealing to policy implementations:
 // extend the running segment by d (no-op when the core is idle/spinning).
 func (c *Core) Inject(d sim.Time) { c.inject(d) }

@@ -1,8 +1,20 @@
 package kernel
 
 import (
+	"latr/internal/mem"
 	"latr/internal/pt"
+	"latr/internal/sim"
 )
+
+// FillTLB caches vpn → pfn on core c for address space mm and reports the
+// fill to the coherence policy, which is how ABIS learns a page's sharers.
+// It returns the policy's hook cost for the caller to charge to c. Every
+// base-page TLB fill goes through here: a fill the policy never hears of
+// is a sharer a later shootdown misses.
+func (k *Kernel) FillTLB(c *Core, mm *MM, vpn pt.VPN, pfn mem.PFN, writable bool) sim.Time {
+	c.TLB.Insert(c.pcid(mm), vpn, pfn, writable)
+	return k.policy.OnPageTouch(c, mm, vpn)
+}
 
 // NUMAHandler receives NUMA-hint faults (accesses to pages that the
 // AutoNUMA scanner marked PROT_NONE). The AutoNUMA implementation in
@@ -101,8 +113,7 @@ func (c *Core) handleFault(th *Thread, vpn pt.VPN, write bool, e pt.Entry, cont 
 				cont()
 				return
 			}
-			c.TLB.Insert(c.pcid(mm), vpn, hpfn, e2.Writable)
-			hook := k.policy.OnPageTouch(c, mm, vpn)
+			hook := k.FillTLB(c, mm, vpn, hpfn, e2.Writable)
 			c.busy(hook+extra, false, func() {
 				mm.Sem.ReleaseRead()
 				cont()
@@ -148,9 +159,8 @@ func (c *Core) handleFault(th *Thread, vpn pt.VPN, write bool, e pt.Entry, cont 
 			cont()
 			return
 		}
-		c.TLB.Insert(c.pcid(mm), vpn, hpfn, vma.Writable)
+		hook := k.FillTLB(c, mm, vpn, hpfn, vma.Writable)
 		k.Metrics.Inc("fault.demand", 1)
-		hook := k.policy.OnPageTouch(c, mm, vpn)
 		hook += k.ReplUpdateRange(c, mm, vpn, 1)
 		c.busy(k.Cost.MmapSetupPerPage+hook+extra, false, func() {
 			mm.Sem.ReleaseRead()

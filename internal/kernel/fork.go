@@ -154,9 +154,9 @@ func (c *Core) breakCoW(th *Thread, vpn pt.VPN, cont func()) {
 			}
 			mm.PT.SetProtection(vpn, true)
 			c.TLB.Invalidate(c.pcid(mm), vpn)
-			c.TLB.Insert(c.pcid(mm), vpn, hpfn, true)
+			hook := k.FillTLB(c, mm, vpn, hpfn, true)
 			k.Metrics.Inc("fault.cow_reuse", 1)
-			c.busy(m.PTEClearPerPage+m.InvlpgLocal+extra+k.ReplUpdateRange(c, mm, vpn, 1), false, func() {
+			c.busy(m.PTEClearPerPage+m.InvlpgLocal+extra+hook+k.ReplUpdateRange(c, mm, vpn, 1), false, func() {
 				mm.Sem.ReleaseRead()
 				cont()
 			})
@@ -196,9 +196,10 @@ func (c *Core) breakCoW(th *Thread, vpn pt.VPN, cont func()) {
 				c.SetSpan(nil)
 				sp.Release(k.Now())
 				k.Alloc.Put(old.PFN)
-				c.TLB.Insert(c.pcid(mm), vpn, npfn, true)
-				mm.Sem.ReleaseRead()
-				cont()
+				c.BusyThen(k.FillTLB(c, mm, vpn, npfn, true), func() {
+					mm.Sem.ReleaseRead()
+					cont()
+				})
 			})
 		})
 	})

@@ -261,10 +261,10 @@ func (c *Core) touchPages(th *Thread, pages []pt.VPN, write bool, accesses int, 
 			if huge {
 				base := hpfn - mem.PFN(vpn-pt.HugeBase(vpn))
 				c.TLB.InsertHuge(pcid, pt.HugeBase(vpn), base, e.Writable)
+				acc += k.policy.OnPageTouch(c, mm, vpn)
 			} else {
-				c.TLB.Insert(pcid, vpn, hpfn, e.Writable)
+				acc += k.FillTLB(c, mm, vpn, hpfn, e.Writable)
 			}
-			acc += k.policy.OnPageTouch(c, mm, vpn)
 			acc += sim.Time(accesses) * c.dramCost(myNode, hpfn)
 			continue
 		}
@@ -275,7 +275,7 @@ func (c *Core) touchPages(th *Thread, pages []pt.VPN, write bool, accesses int, 
 		// auditor's stale-use machinery judges whether the backing frame
 		// was still reference-held or already reallocated.
 		if se, stale := k.replStaleWalk(c, mm, vpn, write); stale {
-			c.TLB.Insert(pcid, vpn, se.PFN, se.Writable)
+			acc += k.FillTLB(c, mm, vpn, se.PFN, se.Writable)
 			if write {
 				k.Metrics.Inc("race.stale_write", 1)
 			} else {

@@ -277,8 +277,8 @@ func (a *AutoNUMA) migrate(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn
 		if err != nil {
 			k.Metrics.Inc("numa.migrate_oom", 1)
 			mm.PT.SetNUMAHint(vpn, false)
-			c.TLB.Insert(c.PCIDOf(mm), vpn, e.PFN, e.Writable)
-			c.Busy(k.Cost.PTEClearPerPage, false, func() {
+			hook := k.FillTLB(c, mm, vpn, e.PFN, e.Writable)
+			c.Busy(k.Cost.PTEClearPerPage+hook, false, func() {
 				mm.Sem.ReleaseRead()
 				cont()
 			})
@@ -291,11 +291,13 @@ func (a *AutoNUMA) migrate(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn
 		cost := k.Cost.PageCopy + k.Cost.MigrationBookkeeping + k.ReplUpdateRange(c, mm, vpn, 1)
 		c.Busy(cost, false, func() {
 			k.Alloc.Put(old.PFN)
-			c.TLB.Insert(c.PCIDOf(mm), vpn, newPFN, old.Writable)
-			mm.Sem.ReleaseRead()
-			k.Metrics.Inc("numa.migrations", 1)
-			k.Trace(c.ID, "numa", "migrated %#x node%d", uint64(vpn.Addr()), myNode)
-			cont()
+			hook := k.FillTLB(c, mm, vpn, newPFN, old.Writable)
+			c.BusyThen(hook, func() {
+				mm.Sem.ReleaseRead()
+				k.Metrics.Inc("numa.migrations", 1)
+				k.Trace(c.ID, "numa", "migrated %#x node%d", uint64(vpn.Addr()), myNode)
+				cont()
+			})
 		})
 	})
 }
@@ -305,11 +307,12 @@ func (a *AutoNUMA) migrate(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn
 func (a *AutoNUMA) repair(c *kernel.Core, th *kernel.Thread, mm *kernel.MM, vpn pt.VPN, cont func()) {
 	k := a.k
 	mm.Sem.AcquireRead(c, th, func() {
+		var hook sim.Time
 		if e, ok := mm.PT.Get(vpn); ok && e.NUMAHint {
 			mm.PT.SetNUMAHint(vpn, false)
-			c.TLB.Insert(c.PCIDOf(mm), vpn, e.PFN, e.Writable)
+			hook = k.FillTLB(c, mm, vpn, e.PFN, e.Writable)
 		}
-		c.Busy(k.Cost.PTEClearPerPage, false, func() {
+		c.Busy(k.Cost.PTEClearPerPage+hook, false, func() {
 			mm.Sem.ReleaseRead()
 			cont()
 		})

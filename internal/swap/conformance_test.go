@@ -31,6 +31,7 @@ func policies() map[string]func() kernel.Policy {
 	return map[string]func() kernel.Policy{
 		"linux": func() kernel.Policy { return shootdown.NewLinux() },
 		"latr":  func() kernel.Policy { return latrcore.New(latrcore.Config{}) },
+		"abis":  func() kernel.Policy { return shootdown.NewABIS() },
 	}
 }
 

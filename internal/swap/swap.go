@@ -460,8 +460,8 @@ func (s *Swapper) OnSwapFault(c *kernel.Core, th *kernel.Thread, vpn pt.VPN, con
 				if err := mm.PT.Map(vpn, pfn, vma.Writable); err != nil {
 					panic(err)
 				}
-				c.TLB.Insert(c.PCIDOf(mm), vpn, pfn, vma.Writable)
-				c.Busy(k.Cost.MmapSetupPerPage+k.ReplUpdateRange(c, mm, vpn, 1), false, func() {
+				hook := k.FillTLB(c, mm, vpn, pfn, vma.Writable)
+				c.Busy(k.Cost.MmapSetupPerPage+hook+k.ReplUpdateRange(c, mm, vpn, 1), false, func() {
 					mm.Sem.ReleaseRead()
 					cont()
 				})
