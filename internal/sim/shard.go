@@ -373,19 +373,5 @@ func (s *Sharded) WindowStats() (windows, barriers, crossed uint64) {
 // Two runs of the same model agree on it at any shard count, parallel or
 // serial.
 func (s *Sharded) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037 // FNV-1a
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	mix(uint64(s.now))
-	mix(s.Scheduled())
-	mix(s.Dispatched())
-	return h
+	return fingerprint(s.now, s.Scheduled(), s.Dispatched())
 }

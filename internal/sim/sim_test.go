@@ -220,15 +220,16 @@ func TestEnginePendingCountsLiveOnly(t *testing.T) {
 func TestEngineCompaction(t *testing.T) {
 	e := NewEngine()
 	// One far-future live event plus a large churn of cancelled ones: the
-	// queue must not retain the dead entries.
+	// queue must hold exactly the live entries, since Cancel removes its
+	// entry at once.
 	live := 0
 	e.At(1_000_000, func(Time) { live++ })
 	for i := 0; i < 10000; i++ {
 		tm := e.At(Time(500_000+i), func(Time) { t.Fatal("cancelled event fired") })
 		e.Cancel(tm)
 	}
-	if n := len(e.queue); n > 100 {
-		t.Fatalf("queue holds %d entries after cancel churn, want compacted (≤100)", n)
+	if n := len(e.queue); n != e.Pending() {
+		t.Fatalf("queue holds %d entries after cancel churn, want %d (Pending)", n, e.Pending())
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
@@ -239,8 +240,8 @@ func TestEngineCompaction(t *testing.T) {
 	}
 }
 
-func TestEngineCompactionPreservesOrder(t *testing.T) {
-	// Interleave live and cancelled events so that compaction must rebuild
+func TestEngineCancelPreservesFIFOOrder(t *testing.T) {
+	// Interleave live and cancelled events so that cancellation reshapes
 	// the heap mid-stream, then check FIFO-at-same-instant order holds.
 	e := NewEngine()
 	var order []int
@@ -265,7 +266,7 @@ func TestEngineCompactionPreservesOrder(t *testing.T) {
 	for w := 10; w <= 16; w++ {
 		for _, want := range byWhen[w] {
 			if order[next] != want {
-				t.Fatalf("order[%d] = %d, want %d (compaction broke ordering)", next, order[next], want)
+				t.Fatalf("order[%d] = %d, want %d (cancellation broke ordering)", next, order[next], want)
 			}
 			next++
 		}
