@@ -51,7 +51,7 @@ func (t *TLB) droppedHuge(ln Line) {
 		return
 	}
 	for i := pt.VPN(0); i < pt.HugePages; i++ {
-		t.tracker.del(t.core, Key{ln.Key.Tag, ln.Key.VPN + i + hugeTrackBit})
+		t.tracker.del(t.core, Key{ln.Key.Tag, ln.Key.VPN + i + hugeTrackBit}, ln.PFN+mem.PFN(i))
 	}
 }
 

@@ -131,7 +131,7 @@ func (t *TLB) promote(ln Line) {
 
 func (t *TLB) dropped(ln Line) {
 	if t.tracker != nil {
-		t.tracker.del(t.core, ln.Key)
+		t.tracker.del(t.core, ln.Key, ln.PFN)
 	}
 }
 
@@ -233,7 +233,6 @@ func (t *TLB) Has(tag Tag, vpn pt.VPN) bool {
 // paper rejects as too expensive — §2.2).
 type Tracker struct {
 	byFrame map[mem.PFN]*frameEntries
-	byEntry map[trackKey]mem.PFN
 	frames  int // frames with at least one entry
 }
 
@@ -250,18 +249,14 @@ type trackKey struct {
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{
-		byFrame: make(map[mem.PFN]*frameEntries),
-		byEntry: make(map[trackKey]mem.PFN),
-	}
+	return &Tracker{byFrame: make(map[mem.PFN]*frameEntries)}
 }
 
+// add records that core caches k → pfn. The caller must not already be
+// tracking k on core: TLB.Insert and InsertHuge drop any old entry for the
+// key, and with it its tracking, before they add the new one.
 func (tr *Tracker) add(core topo.CoreID, k Key, pfn mem.PFN) {
 	tk := trackKey{core, k}
-	if old, ok := tr.byEntry[tk]; ok {
-		tr.removeFromFrame(old, tk)
-	}
-	tr.byEntry[tk] = pfn
 	fe := tr.byFrame[pfn]
 	if fe == nil {
 		fe = &frameEntries{}
@@ -273,23 +268,16 @@ func (tr *Tracker) add(core topo.CoreID, k Key, pfn mem.PFN) {
 	fe.keys = append(fe.keys, tk)
 }
 
-func (tr *Tracker) del(core topo.CoreID, k Key) {
+// del forgets that core caches k → pfn. Every caller holds the dropped
+// Line, so the frame comes from its PFN rather than from a reverse map.
+func (tr *Tracker) del(core topo.CoreID, k Key, pfn mem.PFN) {
 	tk := trackKey{core, k}
-	pfn, ok := tr.byEntry[tk]
-	if !ok {
-		return
-	}
-	delete(tr.byEntry, tk)
-	tr.removeFromFrame(pfn, tk)
-}
-
-func (tr *Tracker) removeFromFrame(pfn mem.PFN, tk trackKey) {
 	fe := tr.byFrame[pfn]
 	if fe == nil {
 		return
 	}
-	for i, k := range fe.keys {
-		if k == tk {
+	for i, e := range fe.keys {
+		if e == tk {
 			last := len(fe.keys) - 1
 			fe.keys[i] = fe.keys[last]
 			fe.keys = fe.keys[:last]
