@@ -19,6 +19,11 @@
 //	latr-bench -compare baselines/              # all BENCH_*.json in the dir
 //	latr-bench -compare BENCH_table5.json       # one baseline
 //	latr-bench -compare baselines/ -tolerance 0.02
+//
+// -cpuprofile and -memprofile write host profiles of the whole run, on
+// every exit path:
+//
+//	latr-bench -quick -exp fig6 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
@@ -34,6 +39,7 @@ import (
 	"time"
 
 	"latr"
+	"latr/internal/profile"
 )
 
 func writeJSON(tbl *latr.ExperimentTable, o latr.ExperimentOptions, wall float64) error {
@@ -166,7 +172,7 @@ func runCompare(stdout, stderr io.Writer, path string, tol latr.BenchTolerance, 
 }
 
 // run is the testable body of the command.
-func run(stdout, stderr io.Writer, args []string) int {
+func run(stdout, stderr io.Writer, args []string) (code int) {
 	fs := flag.NewFlagSet("latr-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -181,10 +187,25 @@ func run(stdout, stderr io.Writer, args []string) int {
 		compare   = fs.String("compare", "", "regression gate: re-run the experiments recorded in this baseline file (or every BENCH_*.json in this directory) and fail on drift")
 		tolRel    = fs.Float64("tolerance", 0, "compare: relative tolerance for scalar cells (0 = default 0.10)")
 		tolPct    = fs.Float64("tolerance-pct", 0, "compare: absolute percentage-point tolerance for % cells (0 = default 5.0)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProfiles, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(stderr, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	if *list {
 		for _, id := range latr.Experiments() {

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -187,5 +193,102 @@ func TestCompareCommittedHarnessNotStale(t *testing.T) {
 	}
 	if h.GoMaxProcs == 1 {
 		t.Fatalf("committed BENCH_harness.json still records gomaxprocs=1; re-record per EXPERIMENTS.md")
+	}
+}
+
+// readProfile gunzips a pprof profile and walks its top-level protobuf
+// fields. It returns how often each field number occurs and the string
+// table, and fails on any malformed tag, varint or length.
+func readProfile(path string) (fields map[uint64]int, strs []string, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, nil, err
+	}
+	fields = map[uint64]int{}
+	for len(data) > 0 {
+		tag, n := binary.Uvarint(data)
+		if n <= 0 {
+			return nil, nil, fmt.Errorf("bad field tag at %d bytes from the end", len(data))
+		}
+		data = data[n:]
+		switch tag & 7 {
+		case 0: // varint
+			if _, n = binary.Uvarint(data); n <= 0 {
+				return nil, nil, fmt.Errorf("field %d: bad varint", tag>>3)
+			}
+		case 2: // length-delimited
+			l, m := binary.Uvarint(data)
+			if m <= 0 || uint64(len(data)-m) < l {
+				return nil, nil, fmt.Errorf("field %d: bad length", tag>>3)
+			}
+			if tag>>3 == 6 { // string_table
+				strs = append(strs, string(data[m:m+int(l)]))
+			}
+			n = m + int(l)
+		default:
+			return nil, nil, fmt.Errorf("field %d: unexpected wire type %d", tag>>3, tag&7)
+		}
+		data = data[n:]
+		fields[tag>>3]++
+	}
+	return fields, strs, nil
+}
+
+// TestProfileFlags runs one quick experiment with -cpuprofile and
+// -memprofile and checks that both files are well-formed, non-empty pprof
+// profiles of the expected kinds.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var out, errb strings.Builder
+	if code := run(&out, &errb, []string{"-exp", "ipi", "-quick", "-cpuprofile", cpu, "-memprofile", heap}); code != 0 {
+		t.Fatalf("-exp ipi exited %d: %s", code, errb.String())
+	}
+	for _, c := range []struct {
+		path string
+		want []string // strings the profile's sample types must name
+	}{
+		{cpu, []string{"cpu", "nanoseconds"}},
+		{heap, []string{"alloc_space", "inuse_space"}},
+	} {
+		fields, strs, err := readProfile(c.path)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(c.path), err)
+		}
+		// Field 1 is sample_type, 11 period_type.
+		if fields[1] == 0 || fields[11] == 0 {
+			t.Errorf("%s: no sample or period type (fields %v)", filepath.Base(c.path), fields)
+		}
+		for _, w := range c.want {
+			if !slices.Contains(strs, w) {
+				t.Errorf("%s: string table lacks %q", filepath.Base(c.path), w)
+			}
+		}
+	}
+}
+
+// TestProfileWrittenOnFailure: a failing -compare still writes its CPU
+// profile.
+func TestProfileWrittenOnFailure(t *testing.T) {
+	cpu := filepath.Join(t.TempDir(), "cpu.prof")
+	var out, errb strings.Builder
+	if code := run(&out, &errb, []string{"-compare", filepath.Join(t.TempDir(), "missing"), "-cpuprofile", cpu}); code == 0 {
+		t.Fatal("-compare of a missing path exited 0")
+	}
+	data, err := os.ReadFile(cpu)
+	if err != nil {
+		t.Fatalf("failed run left no profile: %v", err)
+	}
+	if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+		t.Fatalf("profile is not gzip data (%d bytes)", len(data))
 	}
 }

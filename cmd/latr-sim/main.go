@@ -63,6 +63,11 @@
 //	latr-sim -tune -quick -parallel 4 -seed 7
 //	latr-sim -tune -tune-cf QueueDepth=4 -seed 7
 //	latr-sim -tune -tune-cf ReclaimDelay=8ms -tune-cell churn@8x15
+//
+// Every mode takes -cpuprofile and -memprofile to write host profiles of
+// the run, on every exit path:
+//
+//	latr-sim -machine 8x15 -workload micro -cores 120 -cpuprofile cpu.prof
 package main
 
 import (
@@ -75,6 +80,7 @@ import (
 	"time"
 
 	"latr"
+	"latr/internal/profile"
 )
 
 func parseMachine(s string) (latr.MachineSpec, error) {
@@ -95,7 +101,10 @@ func parseMachine(s string) (latr.MachineSpec, error) {
 	return latr.MachineSpec{}, fmt.Errorf("bad machine %q (want 2x8, 8x15, or NxM)", s)
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the body of the command; it returns the exit code.
+func run() (code int) {
 	var (
 		machine   = flag.String("machine", "2x8", "machine: 2x8, 8x15, or NxM sockets x cores")
 		policy    = flag.String("policy", "latr", "coherence policy: linux, latr, abis, barrelfish, instant")
@@ -147,19 +156,35 @@ func main() {
 		litmusRun  = flag.String("litmus-run", "", "litmus: run only this named handwritten scenario")
 		litmusCh   = flag.String("litmus-chaos", "", "litmus: comma-separated chaos profiles to cross in (safety checks only)")
 		verbose    = flag.Bool("v", false, "litmus: print one line per run")
+
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	stopProfiles, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	if *tuneOn {
-		os.Exit(runTune(*tuneCf, *tuneCell, *tblQuick, *seed, *parallel))
+		return runTune(*tuneCf, *tuneCell, *tblQuick, *seed, *parallel)
 	}
 
 	if *virtOn {
-		os.Exit(runVirt(*tblQuick, *seed, *parallel))
+		return runVirt(*tblQuick, *seed, *parallel)
 	}
 
 	if *ptreplOn {
-		os.Exit(runPtrepl(*tblQuick, *seed, *parallel))
+		return runPtrepl(*tblQuick, *seed, *parallel)
 	}
 
 	if *litmusOn {
@@ -171,7 +196,7 @@ func main() {
 				litmusMachines = *machines
 			}
 		})
-		os.Exit(runLitmus(litmusFlags{
+		return runLitmus(litmusFlags{
 			gen:      *litmusGen,
 			virtGen:  *litmusVGen,
 			genSeed:  *litmusSeed,
@@ -182,11 +207,11 @@ func main() {
 			seed:     *seed,
 			parallel: *parallel,
 			verbose:  *verbose,
-		}))
+		})
 	}
 
 	if *clusterOn {
-		os.Exit(runCluster(clusterFlags{
+		return runCluster(clusterFlags{
 			policies: *policies,
 			routers:  *clusterRt,
 			profiles: *clusterProf,
@@ -199,11 +224,11 @@ func main() {
 			parallel: *parallel,
 			check:    *check,
 			dump:     false,
-		}))
+		})
 	}
 
 	if *remoteOn {
-		os.Exit(runRemote(remoteFlags{
+		return runRemote(remoteFlags{
 			machine:      *machine,
 			policy:       *policy,
 			cores:        *cores,
@@ -212,11 +237,11 @@ func main() {
 			check:        *check,
 			dump:         *dump,
 			remoteFrames: *remoteFr,
-		}))
+		})
 	}
 
 	if *matrix {
-		os.Exit(runMatrix(matrixFlags{
+		return runMatrix(matrixFlags{
 			parallel:  *parallel,
 			policies:  *policies,
 			workloads: *workloads,
@@ -229,13 +254,13 @@ func main() {
 			numa:      *numaOn,
 			check:     *check,
 			verifySeq: *verifySeq,
-		}))
+		})
 	}
 
 	spec, err := parseMachine(*machine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	cfg := latr.Config{
 		Machine:         spec,
@@ -256,7 +281,7 @@ func main() {
 		prof, err := latr.ChaosProfileByName(*chaosProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		cs := *chaosSeed
 		if cs == 0 {
@@ -281,7 +306,7 @@ func main() {
 		prof, ok := latr.ParsecProfileByName(name)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown parsec benchmark %q\n", name)
-			os.Exit(1)
+			return 1
 		}
 		w := latr.NewParsec(prof, cl)
 		w.Setup(k)
@@ -308,7 +333,7 @@ func main() {
 		done = w.Done
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-		os.Exit(1)
+		return 1
 	}
 
 	limit := latr.Time(duration.Nanoseconds())
@@ -327,7 +352,7 @@ func main() {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := sys.WritePerfetto(f); err == nil {
 			err = f.Close()
@@ -336,7 +361,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("trace: wrote %d spans to %s\n", len(sys.Spans().Retained()), *traceOut)
 	}
@@ -349,9 +374,10 @@ func main() {
 		} else {
 			fmt.Printf("audit: %d distinct violation(s), %d total occurrence(s)\n%s",
 				a.Len(), a.Total(), a.Render())
-			os.Exit(2)
+			return 2
 		}
 	}
+	return 0
 }
 
 // matrixFlags carries the -matrix mode configuration.
