@@ -40,29 +40,14 @@
 //	latr-sim -cluster -policies latr -cluster-routers affinity -cluster-profiles flaky-fleet
 //	latr-sim -cluster -parallel 8 -seed 7
 //
-// Virt mode renders the virtualized two-level coherence table: the guest
-// munmap microbenchmark plus a host balloon under every nested policy
-// (linux, latr, guest-latr, host-latr, hatric) on both reference machines:
+// Counterfactual mode re-runs one recorded seed with a single LATR knob
+// perturbed and diffs the resulting coherence spans:
 //
-//	latr-sim -virt
-//	latr-sim -virt -quick -parallel 4
+//	latr-sim -tune-cf QueueDepth=4 -seed 7
+//	latr-sim -tune-cf ReclaimDelay=8ms -tune-cell churn@8x15
 //
-// Ptrepl mode renders the page-table replication table: the numaPTE-style
-// replication-policy axis (none, replicate-all, adaptive) crossed with
-// eager vs LATR-lazy replica maintenance on both reference machines:
-//
-//	latr-sim -ptrepl
-//	latr-sim -ptrepl -quick -parallel 4
-//
-// Tune mode runs the policy auto-tuner: a seeded evolutionary search over
-// LATR's parameter space plus a knob-sensitivity sweep, or — with
-// -tune-cf — a counterfactual replay that re-runs one recorded seed with a
-// single knob perturbed and diffs the resulting coherence spans:
-//
-//	latr-sim -tune -quick
-//	latr-sim -tune -quick -parallel 4 -seed 7
-//	latr-sim -tune -tune-cf QueueDepth=4 -seed 7
-//	latr-sim -tune -tune-cf ReclaimDelay=8ms -tune-cell churn@8x15
+// The experiment tables (virt, ptrepl, tune and the rest of the evaluation)
+// are rendered by latr-bench, e.g. latr-bench -exp virt,ptrepl,tune -quick.
 //
 // Every mode takes -cpuprofile and -memprofile to write host profiles of
 // the run, on every exit path:
@@ -71,132 +56,113 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"latr"
+	"latr/internal/experiments"
 	"latr/internal/profile"
 )
 
-func parseMachine(s string) (latr.MachineSpec, error) {
-	switch s {
-	case "2x8", "small":
-		return latr.TwoSocket16, nil
-	case "8x15", "large":
-		return latr.EightSocket120, nil
-	}
-	parts := strings.SplitN(s, "x", 2)
-	if len(parts) == 2 {
-		sockets, err1 := strconv.Atoi(parts[0])
-		per, err2 := strconv.Atoi(parts[1])
-		if err1 == nil && err2 == nil {
-			return latr.CustomMachine(sockets, per), nil
-		}
-	}
-	return latr.MachineSpec{}, fmt.Errorf("bad machine %q (want 2x8, 8x15, or NxM)", s)
-}
+func main() { os.Exit(run(os.Stdout, os.Stderr, os.Args[1:])) }
 
-func main() { os.Exit(run()) }
-
-// run is the body of the command; it returns the exit code.
-func run() (code int) {
+// run is the testable body of the command; it returns the exit code.
+func run(stdout, stderr io.Writer, args []string) (code int) {
+	fs := flag.NewFlagSet("latr-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		machine   = flag.String("machine", "2x8", "machine: 2x8, 8x15, or NxM sockets x cores")
-		policy    = flag.String("policy", "latr", "coherence policy: linux, latr, abis, barrelfish, instant")
-		wl        = flag.String("workload", "apache", "workload: micro, apache, nginx, parsec:<name>, graph500, pbzip2, metis, ocean, fluidanimate")
-		cores     = flag.Int("cores", 12, "worker cores")
-		pages     = flag.Int("pages", 1, "pages per op (micro)")
-		iters     = flag.Int("iters", 200, "iterations (micro)")
-		duration  = flag.Duration("duration", 500*time.Millisecond, "simulated duration for server workloads")
-		numaOn    = flag.Bool("numa", false, "enable AutoNUMA balancing")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		check     = flag.Bool("check", false, "enable the TLB reuse-invariant checker")
-		dump      = flag.Bool("dump", true, "dump all metrics at the end")
-		audit     = flag.Bool("audit", false, "enable the coherence auditor (structured violations instead of panics)")
-		traceOut  = flag.String("trace-out", "", "write the run's coherence spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
-		chaosProf = flag.String("chaos-profile", "", "inject faults from this chaos profile (implies -audit); one of: "+strings.Join(latr.ChaosProfiles(), ", "))
-		chaosSeed = flag.Uint64("chaos-seed", 0, "seed for the chaos fault schedule (default: -seed)")
+		machine   = fs.String("machine", "2x8", "machine: 2x8, 8x15, or NxM sockets x cores")
+		policy    = fs.String("policy", "latr", "coherence policy: linux, latr, abis, barrelfish, instant")
+		wl        = fs.String("workload", "apache", "workload: micro, apache, nginx, parsec:<name>, graph500, pbzip2, metis, ocean, fluidanimate")
+		cores     = fs.Int("cores", 12, "worker cores")
+		pages     = fs.Int("pages", 1, "pages per op (micro)")
+		iters     = fs.Int("iters", 200, "iterations (micro)")
+		duration  = fs.Duration("duration", 500*time.Millisecond, "simulated duration for server workloads")
+		numaOn    = fs.Bool("numa", false, "enable AutoNUMA balancing")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		check     = fs.Bool("check", false, "enable the TLB reuse-invariant checker")
+		dump      = fs.Bool("dump", true, "dump all metrics at the end")
+		audit     = fs.Bool("audit", false, "enable the coherence auditor (structured violations instead of panics)")
+		traceOut  = fs.String("trace-out", "", "write the run's coherence spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
+		chaosProf = fs.String("chaos-profile", "", "inject faults from this chaos profile (implies -audit); one of: "+strings.Join(latr.ChaosProfiles(), ", "))
+		chaosSeed = fs.Uint64("chaos-seed", 0, "seed for the chaos fault schedule (default: -seed)")
 
-		matrix    = flag.Bool("matrix", false, "run a (policy x workload x seed x machine) matrix instead of a single scenario")
-		parallel  = flag.Int("parallel", runtime.NumCPU(), "matrix worker pool size (each run is fully isolated)")
-		policies  = flag.String("policies", "", "matrix: comma-separated policies (default: all)")
-		workloads = flag.String("workloads", "micro,apache,nginx,parsec:dedup", "matrix: comma-separated workloads")
-		machines  = flag.String("machines", "2x8", "matrix: comma-separated machine shapes")
-		seeds     = flag.String("seeds", "1,2", "matrix: comma-separated seeds")
-		verifySeq = flag.Bool("verify-seq", false, "matrix: re-run sequentially and fail unless all fingerprints are byte-identical")
+		matrix    = fs.Bool("matrix", false, "run a (policy x workload x seed x machine) matrix instead of a single scenario")
+		parallel  = fs.Int("parallel", runtime.NumCPU(), "matrix worker pool size (each run is fully isolated)")
+		policies  = fs.String("policies", "", "matrix: comma-separated policies (default: all)")
+		workloads = fs.String("workloads", "micro,apache,nginx,parsec:dedup", "matrix: comma-separated workloads")
+		machines  = fs.String("machines", "2x8", "matrix: comma-separated machine shapes")
+		seeds     = fs.String("seeds", "1,2", "matrix: comma-separated seeds")
+		verifySeq = fs.Bool("verify-seq", false, "matrix: re-run sequentially and fail unless all fingerprints are byte-identical")
 
-		remoteOn = flag.Bool("remote", false, "run the remote-memory paging case study (memcached over the RDMA backend) instead of a plain workload")
-		remoteFr = flag.Int64("remote-frames", 0, "remote: cap the remote node's frame pool (0 = unbounded)")
+		remoteOn = fs.Bool("remote", false, "run the remote-memory paging case study (memcached over the RDMA backend) instead of a plain workload")
+		remoteFr = fs.Int64("remote-frames", 0, "remote: cap the remote node's frame pool (0 = unbounded)")
 
-		clusterOn   = flag.Bool("cluster", false, "run the fault-tolerant multi-machine cluster sweep (policy x router x fault profile) instead of a single-machine workload")
-		clusterN    = flag.Int("cluster-nodes", 0, "cluster: fleet size (0 = default 3)")
-		clusterRt   = flag.String("cluster-routers", "", "cluster: comma-separated routers (default: all of "+strings.Join(latr.ClusterRouters(), ", ")+")")
-		clusterProf = flag.String("cluster-profiles", "none,node-crash", "cluster: comma-separated fault profiles; one of none, "+strings.Join(latr.ClusterFaultProfiles(), ", "))
-		clusterMach = flag.String("cluster-machine", "", "cluster: per-node machine shape NxM (default: 2x4)")
-		clusterHdg  = flag.Duration("cluster-hedge", time.Millisecond, "cluster: hedge delay for a duplicate attempt (0 disables hedging)")
-		clusterSh   = flag.Int("cluster-shards", 0, "cluster: event-engine shards per cell (0 = sequential; results are byte-identical at any count)")
+		clusterOn   = fs.Bool("cluster", false, "run the fault-tolerant multi-machine cluster sweep (policy x router x fault profile) instead of a single-machine workload")
+		clusterN    = fs.Int("cluster-nodes", 0, "cluster: fleet size (0 = default 3)")
+		clusterRt   = fs.String("cluster-routers", "", "cluster: comma-separated routers (default: all of "+strings.Join(latr.ClusterRouters(), ", ")+")")
+		clusterProf = fs.String("cluster-profiles", "none,node-crash", "cluster: comma-separated fault profiles; one of none, "+strings.Join(latr.ClusterFaultProfiles(), ", "))
+		clusterMach = fs.String("cluster-machine", "", "cluster: per-node machine shape NxM (default: 2x4)")
+		clusterHdg  = fs.Duration("cluster-hedge", time.Millisecond, "cluster: hedge delay for a duplicate attempt (0 disables hedging)")
+		clusterSh   = fs.Int("cluster-shards", 0, "cluster: event-engine shards per cell (0 = sequential; results are byte-identical at any count)")
 
-		tuneOn   = flag.Bool("tune", false, "run the policy auto-tuner (evolutionary search + knob sensitivity) instead of a workload")
-		tuneCf   = flag.String("tune-cf", "", "tune: render a counterfactual span diff for one knob perturbation instead of searching, as Knob=value (durations accept Go syntax, e.g. ReclaimDelay=8ms)")
-		tuneCell = flag.String("tune-cell", "churn@2x8", "tune: counterfactual cell, workload@machine (workloads churn, memcached; machines 2x8, 8x15)")
+		tuneCf   = fs.String("tune-cf", "", "render a counterfactual span diff for one LATR knob perturbation instead of a workload, as Knob=value (durations accept Go syntax, e.g. ReclaimDelay=8ms)")
+		tuneCell = fs.String("tune-cell", "churn@2x8", "tune-cf: counterfactual cell, workload@machine (workloads churn, memcached; machines 2x8, 8x15)")
+		cfQuick  = fs.Bool("quick", false, "tune-cf: smaller runs, same shapes")
 
-		virtOn   = flag.Bool("virt", false, "run the virtualized two-level coherence table (guest munmap + host balloon per policy x machine) instead of a workload")
-		ptreplOn = flag.Bool("ptrepl", false, "run the page-table replication table (policy x replication mode x machine) instead of a workload")
-		tblQuick = flag.Bool("quick", false, "virt/ptrepl: smaller runs, same shapes")
+		litmusOn   = fs.Bool("litmus", false, "run the litmus corpus through the differential oracle instead of a workload")
+		litmusGen  = fs.Int("litmus-gen", 0, "litmus: also run this many generated scenarios")
+		litmusVGen = fs.Int("litmus-virt-gen", 0, "litmus: also run this many generated two-level (guest/host) scenarios")
+		litmusSeed = fs.Uint64("litmus-seed", 1000, "litmus: first seed for generated scenarios")
+		litmusRun  = fs.String("litmus-run", "", "litmus: run only this named handwritten scenario")
+		litmusCh   = fs.String("litmus-chaos", "", "litmus: comma-separated chaos profiles to cross in (safety checks only)")
+		verbose    = fs.Bool("v", false, "litmus: print one line per run")
 
-		litmusOn   = flag.Bool("litmus", false, "run the litmus corpus through the differential oracle instead of a workload")
-		litmusGen  = flag.Int("litmus-gen", 0, "litmus: also run this many generated scenarios")
-		litmusVGen = flag.Int("litmus-virt-gen", 0, "litmus: also run this many generated two-level (guest/host) scenarios")
-		litmusSeed = flag.Uint64("litmus-seed", 1000, "litmus: first seed for generated scenarios")
-		litmusRun  = flag.String("litmus-run", "", "litmus: run only this named handwritten scenario")
-		litmusCh   = flag.String("litmus-chaos", "", "litmus: comma-separated chaos profiles to cross in (safety checks only)")
-		verbose    = flag.Bool("v", false, "litmus: print one line per run")
-
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	stopProfiles, err := profile.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			if code == 0 {
 				code = 1
 			}
 		}
 	}()
 
-	if *tuneOn {
-		return runTune(*tuneCf, *tuneCell, *tblQuick, *seed, *parallel)
-	}
-
-	if *virtOn {
-		return runVirt(*tblQuick, *seed, *parallel)
-	}
-
-	if *ptreplOn {
-		return runPtrepl(*tblQuick, *seed, *parallel)
+	if *tuneCf != "" {
+		return runCounterfactual(stdout, stderr, *tuneCf, *tuneCell, *cfQuick, *seed)
 	}
 
 	if *litmusOn {
 		// -machines defaults to "2x8" for matrix mode; litmus mode crosses
 		// both reference topologies unless the flag was given explicitly.
 		litmusMachines := ""
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "machines" {
 				litmusMachines = *machines
 			}
 		})
-		return runLitmus(litmusFlags{
+		return runLitmus(stdout, stderr, litmusFlags{
 			gen:      *litmusGen,
 			virtGen:  *litmusVGen,
 			genSeed:  *litmusSeed,
@@ -211,7 +177,7 @@ func run() (code int) {
 	}
 
 	if *clusterOn {
-		return runCluster(clusterFlags{
+		return runCluster(stdout, stderr, clusterFlags{
 			policies: *policies,
 			routers:  *clusterRt,
 			profiles: *clusterProf,
@@ -228,7 +194,7 @@ func run() (code int) {
 	}
 
 	if *remoteOn {
-		return runRemote(remoteFlags{
+		return runRemote(stdout, stderr, remoteFlags{
 			machine:      *machine,
 			policy:       *policy,
 			cores:        *cores,
@@ -241,7 +207,7 @@ func run() (code int) {
 	}
 
 	if *matrix {
-		return runMatrix(matrixFlags{
+		return runMatrix(stdout, stderr, matrixFlags{
 			parallel:  *parallel,
 			policies:  *policies,
 			workloads: *workloads,
@@ -257,9 +223,13 @@ func run() (code int) {
 		})
 	}
 
-	spec, err := parseMachine(*machine)
+	spec, err := machineAndPolicy(*machine, *policy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if *cores < 1 || *cores > spec.NumCores() {
+		fmt.Fprintf(stderr, "latr-sim: -cores %d outside machine %s (1..%d)\n", *cores, *machine, spec.NumCores())
 		return 1
 	}
 	cfg := latr.Config{
@@ -280,7 +250,7 @@ func run() (code int) {
 	if *chaosProf != "" {
 		prof, err := latr.ChaosProfileByName(*chaosProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		cs := *chaosSeed
@@ -289,50 +259,14 @@ func run() (code int) {
 		}
 		latr.NewChaosInjector(cs, prof).Install(k)
 	}
-	cl := latr.CoreList(*cores)
-
-	var done func() bool = func() bool { return false }
-	switch {
-	case *wl == "micro":
-		w := latr.NewMicro(latr.MicroConfig{Cores: *cores, Pages: *pages, Iters: *iters})
-		w.Setup(k)
-		done = w.Done
-	case *wl == "apache":
-		latr.NewApache(latr.DefaultApacheConfig(cl)).Setup(k)
-	case *wl == "nginx":
-		latr.NewNginx(latr.DefaultNginxConfig(cl)).Setup(k)
-	case strings.HasPrefix(*wl, "parsec:"):
-		name := strings.TrimPrefix(*wl, "parsec:")
-		prof, ok := latr.ParsecProfileByName(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown parsec benchmark %q\n", name)
-			return 1
-		}
-		w := latr.NewParsec(prof, cl)
-		w.Setup(k)
-		done = w.Done
-	case *wl == "graph500":
-		w := latr.NewGraph500(latr.DefaultGraph500Config(cl))
-		w.Setup(k)
-		done = w.Done
-	case *wl == "pbzip2":
-		w := latr.NewPBZIP2(latr.DefaultPBZIP2Config(cl))
-		w.Setup(k)
-		done = w.Done
-	case *wl == "metis":
-		w := latr.NewMetis(latr.DefaultMetisConfig(cl))
-		w.Setup(k)
-		done = w.Done
-	case *wl == "ocean":
-		w := latr.NewGrid(latr.OceanConfig(cl))
-		w.Setup(k)
-		done = w.Done
-	case *wl == "fluidanimate":
-		w := latr.NewGrid(latr.FluidanimateConfig(cl))
-		w.Setup(k)
-		done = w.Done
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
+	done, err := experiments.SetupWorkload(k, experiments.RunSpec{
+		Workload: *wl,
+		Cores:    *cores,
+		Pages:    *pages,
+		Iters:    *iters,
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
@@ -346,12 +280,12 @@ func run() (code int) {
 		sys.Run(next)
 	}
 
-	fmt.Printf("machine=%s policy=%s workload=%s simulated=%v\n",
+	fmt.Fprintf(stdout, "machine=%s policy=%s workload=%s simulated=%v\n",
 		spec.Name, *policy, *wl, sys.Now())
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := sys.WritePerfetto(f); err == nil {
@@ -360,24 +294,37 @@ func run() (code int) {
 			f.Close()
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Printf("trace: wrote %d spans to %s\n", len(sys.Spans().Retained()), *traceOut)
+		fmt.Fprintf(stdout, "trace: wrote %d spans to %s\n", len(sys.Spans().Retained()), *traceOut)
 	}
 	if *dump {
-		fmt.Print(sys.Metrics().Dump())
+		fmt.Fprint(stdout, sys.Metrics().Dump())
 	}
 	if a := sys.Audit(); a != nil {
 		if a.Len() == 0 {
-			fmt.Println("audit: no coherence violations")
+			fmt.Fprintln(stdout, "audit: no coherence violations")
 		} else {
-			fmt.Printf("audit: %d distinct violation(s), %d total occurrence(s)\n%s",
+			fmt.Fprintf(stdout, "audit: %d distinct violation(s), %d total occurrence(s)\n%s",
 				a.Len(), a.Total(), a.Render())
 			return 2
 		}
 	}
 	return 0
+}
+
+// machineAndPolicy resolves -machine and checks -policy, so a bad value
+// is reported by name instead of panicking inside latr.NewSystem.
+func machineAndPolicy(machine, policy string) (latr.MachineSpec, error) {
+	spec, err := experiments.MachineByName(machine)
+	if err != nil {
+		return spec, err
+	}
+	if !slices.Contains(latr.PolicyNames(), policy) {
+		return spec, fmt.Errorf("latr-sim: unknown policy %q (have %s)", policy, strings.Join(latr.PolicyNames(), ", "))
+	}
+	return spec, nil
 }
 
 // matrixFlags carries the -matrix mode configuration.
@@ -401,7 +348,7 @@ func splitList(s string) []string {
 
 // runMatrix executes the experiment matrix across the worker pool and
 // prints one fingerprint line per run, in deterministic matrix order.
-func runMatrix(f matrixFlags) int {
+func runMatrix(stdout, stderr io.Writer, f matrixFlags) int {
 	m := latr.ExperimentMatrix{
 		Policies:  splitList(f.policies),
 		Workloads: splitList(f.workloads),
@@ -418,7 +365,7 @@ func runMatrix(f matrixFlags) int {
 	for _, s := range splitList(f.seeds) {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad seed %q: %v\n", s, err)
+			fmt.Fprintf(stderr, "bad seed %q: %v\n", s, err)
 			return 1
 		}
 		m.Seeds = append(m.Seeds, v)
@@ -435,14 +382,14 @@ func runMatrix(f matrixFlags) int {
 
 	failed := 0
 	for _, r := range results {
-		fmt.Println(r.Fingerprint())
+		fmt.Fprintln(stdout, r.Fingerprint())
 		if r.Err != "" {
 			failed++
 		}
 	}
-	fmt.Printf("matrix: %d runs, %d workers, wall %.2fs\n", len(results), f.parallel, parWall.Seconds())
+	fmt.Fprintf(stdout, "matrix: %d runs, %d workers, wall %.2fs\n", len(results), f.parallel, parWall.Seconds())
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "matrix: %d run(s) failed\n", failed)
+		fmt.Fprintf(stderr, "matrix: %d run(s) failed\n", failed)
 		return 1
 	}
 
@@ -454,12 +401,12 @@ func runMatrix(f matrixFlags) int {
 		for i := range results {
 			if results[i].Fingerprint() != seq[i].Fingerprint() {
 				mismatches++
-				fmt.Fprintf(os.Stderr, "DIVERGED run %d:\n  par: %s\n  seq: %s\n",
+				fmt.Fprintf(stderr, "DIVERGED run %d:\n  par: %s\n  seq: %s\n",
 					i, results[i].Fingerprint(), seq[i].Fingerprint())
 			}
 		}
 		speedup := seqWall.Seconds() / parWall.Seconds()
-		fmt.Printf("verify-seq: sequential wall %.2fs, speedup %.2fx, mismatches %d\n",
+		fmt.Fprintf(stdout, "verify-seq: sequential wall %.2fs, speedup %.2fx, mismatches %d\n",
 			seqWall.Seconds(), speedup, mismatches)
 		if mismatches > 0 {
 			return 1
@@ -482,6 +429,9 @@ type remoteFlags struct {
 // skipping core 0 (the swapper's), so evictions shoot down cross-socket
 // TLBs — the configuration the case study measures.
 func remoteCores(spec latr.MachineSpec, n int) ([]latr.CoreID, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("latr-sim: -cores %d: the KV server needs at least one core", n)
+	}
 	byNode := make([][]latr.CoreID, spec.NumNodes())
 	for c := 0; c < spec.NumCores(); c++ {
 		if c == 0 {
@@ -515,16 +465,16 @@ const remoteMemFrames = 1500
 
 // runRemote executes the §6.2 Infiniswap case study once and prints the
 // request-latency percentiles.
-func runRemote(f remoteFlags) int {
-	spec, err := parseMachine(f.machine)
+func runRemote(stdout, stderr io.Writer, f remoteFlags) int {
+	spec, err := machineAndPolicy(f.machine, f.policy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	spec.MemPerNodeBytes = remoteMemFrames * 4096
 	cores, err := remoteCores(spec, f.cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	sys := latr.NewSystem(latr.Config{
@@ -547,54 +497,45 @@ func runRemote(f remoteFlags) int {
 	sys.RegisterAllForNUMA()
 	sys.Run(f.duration)
 	if !w.Loaded() {
-		fmt.Fprintln(os.Stderr, "remote: KV warm-up never finished; raise -duration")
+		fmt.Fprintln(stderr, "remote: KV warm-up never finished; raise -duration")
 		return 1
 	}
 	m := sys.Metrics()
 	lat := w.Latency()
-	fmt.Printf("machine=%s policy=%s workload=memcached/remote simulated=%v\n",
+	fmt.Fprintf(stdout, "machine=%s policy=%s workload=memcached/remote simulated=%v\n",
 		spec.Name, f.policy, sys.Now())
-	fmt.Printf("requests=%d req/s=%.0f\n", w.Requests(), float64(w.Requests())/f.duration.Seconds())
-	fmt.Printf("latency p50=%v p90=%v p99=%v p99.9=%v\n", lat.P50(), lat.P90(), lat.P99(), lat.P999())
-	fmt.Printf("swap out=%d in=%d dropped=%d\n",
+	fmt.Fprintf(stdout, "requests=%d req/s=%.0f\n", w.Requests(), float64(w.Requests())/f.duration.Seconds())
+	fmt.Fprintf(stdout, "latency p50=%v p90=%v p99=%v p99.9=%v\n", lat.P50(), lat.P90(), lat.P99(), lat.P999())
+	fmt.Fprintf(stdout, "swap out=%d in=%d dropped=%d\n",
 		m.Counter("swap.out"), m.Counter("swap.in"), m.Counter("swap.dropped"))
-	fmt.Printf("remote pool_full=%d inflight_waits=%d\n",
+	fmt.Fprintf(stdout, "remote pool_full=%d inflight_waits=%d\n",
 		m.Counter("remote.pool_full"), m.Counter("remote.inflight_waits"))
 	if f.dump {
-		fmt.Print(m.Dump())
+		fmt.Fprint(stdout, m.Dump())
 	}
 	return 0
 }
 
-// runTune runs the policy auto-tuner: the search + sensitivity table, or
-// a counterfactual span diff when -tune-cf names a knob perturbation.
-func runTune(cf, cell string, quick bool, seed uint64, parallel int) int {
-	if cf == "" {
-		tbl := latr.RunTuneExperiment(latr.ExperimentOptions{
-			Quick:   quick,
-			Seed:    seed,
-			Workers: parallel,
-		})
-		fmt.Println(tbl)
-		return 0
-	}
+// runCounterfactual re-runs one recorded seed with the knob perturbation
+// -tune-cf names and prints the span diff against the unperturbed run.
+func runCounterfactual(stdout, stderr io.Writer, cf, cell string, quick bool, seed uint64) int {
 	knob, raw, ok := strings.Cut(cf, "=")
 	if !ok {
-		fmt.Fprintf(os.Stderr, "latr-sim: -tune-cf wants Knob=value, got %q\n", cf)
+		fmt.Fprintf(stderr, "latr-sim: -tune-cf wants Knob=value, got %q\n", cf)
 		return 2
 	}
 	value, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
 		d, derr := time.ParseDuration(raw)
 		if derr != nil {
-			fmt.Fprintf(os.Stderr, "latr-sim: -tune-cf value %q is neither an integer nor a duration\n", raw)
+			fmt.Fprintf(stderr, "latr-sim: -tune-cf value %q is neither an integer nor a duration\n", raw)
 			return 2
 		}
 		value = d.Nanoseconds()
 	}
 	wl, machine, ok := strings.Cut(cell, "@")
 	if !ok {
-		fmt.Fprintf(os.Stderr, "latr-sim: -tune-cell wants workload@machine, got %q\n", cell)
+		fmt.Fprintf(stderr, "latr-sim: -tune-cell wants workload@machine, got %q\n", cell)
 		return 2
 	}
 	diff, err := latr.RunCounterfactual(latr.CounterfactualConfig{
@@ -605,39 +546,10 @@ func runTune(cf, cell string, quick bool, seed uint64, parallel int) int {
 		Value: value,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Print(diff.Render())
-	return 0
-}
-
-// runVirt renders the virtualized two-level coherence table: the guest
-// munmap microbenchmark plus a host balloon under every virt policy on
-// both reference machines.
-func runVirt(quick bool, seed uint64, parallel int) int {
-	tbl, err := latr.RunExperiment("virt", latr.ExperimentOptions{
-		Quick:   quick,
-		Seed:    seed,
-		Workers: parallel,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Println(tbl)
-	return 0
-}
-
-// runPtrepl renders the page-table replication table: the replication
-// policy axis crossed with eager vs LATR-lazy replica maintenance on both
-// reference machines.
-func runPtrepl(quick bool, seed uint64, parallel int) int {
-	fmt.Println(latr.RunPtreplExperiment(latr.ExperimentOptions{
-		Quick:   quick,
-		Seed:    seed,
-		Workers: parallel,
-	}))
+	fmt.Fprint(stdout, diff.Render())
 	return 0
 }
 
@@ -652,12 +564,12 @@ type litmusFlags struct {
 
 // runLitmus executes the handwritten (and optionally generated) litmus
 // corpus through the differential oracle and reports PASS/FAIL.
-func runLitmus(f litmusFlags) int {
+func runLitmus(stdout, stderr io.Writer, f litmusFlags) int {
 	var scs []*latr.LitmusScenario
 	if f.only != "" {
 		sc := latr.LitmusScenarioByName(f.only)
 		if sc == nil {
-			fmt.Fprintf(os.Stderr, "unknown litmus scenario %q\n", f.only)
+			fmt.Fprintf(stderr, "unknown litmus scenario %q\n", f.only)
 			return 1
 		}
 		scs = []*latr.LitmusScenario{sc}
@@ -682,17 +594,17 @@ func runLitmus(f litmusFlags) int {
 			o := &rep.Outcomes[i]
 			switch {
 			case o.Skipped:
-				fmt.Printf("SKIP %s\n", o.Key())
+				fmt.Fprintf(stdout, "SKIP %s\n", o.Key())
 			case len(o.Failures) > 0:
-				fmt.Printf("FAIL %s (%d failure(s))\n", o.Key(), len(o.Failures))
+				fmt.Fprintf(stdout, "FAIL %s (%d failure(s))\n", o.Key(), len(o.Failures))
 			default:
-				fmt.Printf("ok   %s\n", o.Key())
+				fmt.Fprintf(stdout, "ok   %s\n", o.Key())
 			}
 		}
 	}
-	fmt.Println(rep.Summary())
+	fmt.Fprintln(stdout, rep.Summary())
 	if rep.Failed() {
-		fmt.Print(rep.RenderFailures(20))
+		fmt.Fprint(stdout, rep.RenderFailures(20))
 		return 1
 	}
 	return 0

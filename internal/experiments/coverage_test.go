@@ -11,39 +11,10 @@ import (
 // exports — checking shape and the paper's qualitative claims rather than
 // exact numbers (the regression gate in cmd/latr-bench pins those).
 
-// TestByIDQuick runs, through the ByID dispatcher, every experiment the
-// rest of the suite does not already exercise directly.
-func TestByIDQuick(t *testing.T) {
-	for _, id := range []string{
-		"table1", "table2", "table3", "table4",
-		"fig10", "fig11", "fig12", "ipi",
-		"abl-sweep", "abl-delay", "abl-variants", "abl-thp",
-	} {
-		tb, err := ByID(id, quick)
-		if err != nil {
-			t.Fatalf("ByID(%s): %v", id, err)
-		}
-		if tb.ID != id {
-			t.Errorf("ByID(%s) returned table %q", id, tb.ID)
-		}
-		if len(tb.Rows) == 0 || len(tb.Columns) == 0 {
-			t.Errorf("%s: empty table (%d rows x %d cols)", id, len(tb.Rows), len(tb.Columns))
-		}
-		for _, row := range tb.Rows {
-			if len(row) != len(tb.Columns) {
-				t.Errorf("%s: row %v has %d cells for %d columns", id, row, len(row), len(tb.Columns))
-			}
-		}
-		if tb.String() == "" {
-			t.Errorf("%s: table renders empty", id)
-		}
-	}
-}
-
 // TestAblationReclaimDelayGrowsPool: the §4.2 claim — the lazy pool grows
 // with the reclamation delay.
 func TestAblationReclaimDelayGrowsPool(t *testing.T) {
-	tb := AblationReclaimDelay(quick)
+	tb := quickTable(t, "abl-delay")
 	if len(tb.Rows) < 2 {
 		t.Fatalf("reclaim-delay ablation rows = %d", len(tb.Rows))
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,6 +24,61 @@ func num(t *testing.T, cell string) float64 {
 
 var quick = Options{Quick: true, Seed: 1}
 
+// quickTables memoizes one quick render per experiment id.
+var quickTables sync.Map // id -> func() *Table
+
+// quickTable renders experiment id at the quick options once per test
+// binary; every later caller shares that table, so the shape tests and the
+// worker-invariance test pay for one sequential run of each experiment.
+func quickTable(t *testing.T, id string) *Table {
+	t.Helper()
+	render, _ := quickTables.LoadOrStore(id, sync.OnceValue(func() *Table {
+		tb, _ := ByID(id, quick)
+		return tb
+	}))
+	tb := render.(func() *Table)()
+	if tb == nil {
+		t.Fatalf("unknown experiment %q", id)
+	}
+	return tb
+}
+
+// TestEveryExperimentWorkerInvariant renders every registered experiment
+// sequentially and at 4 workers. Each run owns its kernel, so the two
+// renders must agree byte for byte, and the table must be well formed.
+func TestEveryExperimentWorkerInvariant(t *testing.T) {
+	if got := len(IDs()); got != 25 {
+		t.Errorf("IDs() = %d entries, want 25", got)
+	}
+	if got := len(PaperIDs()); got != 15 {
+		t.Errorf("PaperIDs() = %d entries, want 15", got)
+	}
+	if _, err := ByID("bogus", quick); err == nil {
+		t.Error("ByID accepted bogus id")
+	}
+	for _, e := range registry {
+		t.Run(e.id, func(t *testing.T) {
+			t.Parallel()
+			tb := quickTable(t, e.id)
+			if tb.ID != e.id {
+				t.Errorf("ByID(%s) returned table %q", e.id, tb.ID)
+			}
+			if len(tb.Rows) == 0 || len(tb.Columns) == 0 {
+				t.Errorf("empty table (%d rows x %d cols)", len(tb.Rows), len(tb.Columns))
+			}
+			for _, row := range tb.Rows {
+				if len(row) != len(tb.Columns) {
+					t.Errorf("row %v has %d cells for %d columns", row, len(row), len(tb.Columns))
+				}
+			}
+			par := e.run(Options{Quick: true, Seed: quick.Seed, Workers: 4})
+			if seq, got := tb.String(), par.String(); got != seq {
+				t.Fatalf("4 workers diverged from sequential:\n--- sequential ---\n%s\n--- 4 workers ---\n%s", seq, got)
+			}
+		})
+	}
+}
+
 func TestStaticTables(t *testing.T) {
 	if got := len(Table1().Rows); got != 9 {
 		t.Errorf("table1 rows = %d", got)
@@ -37,7 +93,7 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	tb := Fig6(quick)
+	tb := quickTable(t, "fig6")
 	last := tb.Rows[len(tb.Rows)-1]
 	linux := num(t, last[1])
 	latr := num(t, last[3])
@@ -62,7 +118,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Knee(t *testing.T) {
-	tb := Fig7(quick)
+	tb := quickTable(t, "fig7")
 	// Find per-core-added latency before and after the 2-hop knee
 	// (sockets >3 ⇔ cores >45 for the initiator on socket 0).
 	delta := func(i, j int) float64 {
@@ -84,7 +140,7 @@ func TestFig7Knee(t *testing.T) {
 }
 
 func TestFig8Decay(t *testing.T) {
-	tb := Fig8(quick)
+	tb := quickTable(t, "fig8")
 	one := num(t, tb.Rows[0][4])
 	big := num(t, tb.Rows[len(tb.Rows)-1][4])
 	if one < 55 {
@@ -99,7 +155,7 @@ func TestFig8Decay(t *testing.T) {
 }
 
 func TestFig9Orderings(t *testing.T) {
-	tb := Fig9(quick)
+	tb := quickTable(t, "fig9")
 	// At 2 cores: ABIS below Linux (tracking overhead).
 	if num(t, tb.Rows[0][2]) >= num(t, tb.Rows[0][1]) {
 		t.Error("ABIS should trail Linux at 2 cores")
@@ -120,7 +176,7 @@ func TestFig9Orderings(t *testing.T) {
 }
 
 func TestTable5Anchors(t *testing.T) {
-	tb := Table5(quick)
+	tb := quickTable(t, "table5")
 	save := num(t, tb.Rows[0][1])
 	sweep := num(t, tb.Rows[1][1])
 	linux := num(t, tb.Rows[2][1])
@@ -136,7 +192,7 @@ func TestTable5Anchors(t *testing.T) {
 }
 
 func TestMemOverheadBounded(t *testing.T) {
-	tb := MemOverhead(quick)
+	tb := quickTable(t, "mem")
 	for _, row := range tb.Rows {
 		if left := num(t, row[2]); left != 0 {
 			t.Errorf("%s: lazy memory leaked: %v B", row[0], left)
@@ -153,7 +209,7 @@ func TestMemOverheadBounded(t *testing.T) {
 }
 
 func TestAblationTransportOrdering(t *testing.T) {
-	tb := AblationTransport(quick)
+	tb := quickTable(t, "abl-transport")
 	v := map[string]float64{}
 	for _, row := range tb.Rows {
 		v[row[0]] = num(t, row[1])
@@ -164,7 +220,7 @@ func TestAblationTransportOrdering(t *testing.T) {
 }
 
 func TestAblationQueueDepthFallbacks(t *testing.T) {
-	tb := AblationQueueDepth(quick)
+	tb := quickTable(t, "abl-depth")
 	shallow := num(t, tb.Rows[0][2])
 	deep := num(t, tb.Rows[len(tb.Rows)-1][2])
 	if shallow <= deep {
@@ -177,7 +233,7 @@ func TestAblationQueueDepthFallbacks(t *testing.T) {
 // guest-latr removes every exit, host-latr's balloon undercuts linux's
 // synchronous quiesce, and no cell leaks a frame.
 func TestVirtTableShape(t *testing.T) {
-	tb := Virt(Options{Quick: true, Seed: 1, Workers: -1})
+	tb := quickTable(t, "virt")
 	cell := map[[2]string][]string{}
 	for _, row := range tb.Rows {
 		cell[[2]string{row[0], row[1]}] = row
@@ -201,27 +257,6 @@ func TestVirtTableShape(t *testing.T) {
 		if row[7] != "0" {
 			t.Errorf("%v leaked %s adjusted frames", key, row[7])
 		}
-	}
-}
-
-func TestByIDAndIDsAgree(t *testing.T) {
-	for _, id := range IDs() {
-		switch id {
-		case "table1", "table2", "table3":
-			tb, err := ByID(id, quick)
-			if err != nil || tb.ID != id {
-				t.Errorf("ByID(%s) = %v, %v", id, tb, err)
-			}
-		}
-	}
-	if _, err := ByID("bogus", quick); err == nil {
-		t.Error("ByID accepted bogus id")
-	}
-	if len(IDs()) != 25 {
-		t.Errorf("IDs() = %d entries", len(IDs()))
-	}
-	if len(PaperIDs()) != 15 {
-		t.Errorf("PaperIDs() = %d entries", len(PaperIDs()))
 	}
 }
 

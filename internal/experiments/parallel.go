@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"latr/internal/cost"
-	fanpool "latr/internal/fan"
+	"latr/internal/fan"
 	"latr/internal/kernel"
 	"latr/internal/numa"
 	"latr/internal/sim"
@@ -16,17 +16,10 @@ import (
 // This file is the parallel experiment harness. Every simulation run owns a
 // private Engine, Kernel, RNG and metrics registry and shares no mutable
 // state with any other run, so the (policy × workload × seed × topology)
-// matrix is embarrassingly parallel: fan distributes runs across a worker
+// matrix is embarrassingly parallel: fan.Run distributes runs across a worker
 // pool while keeping results in deterministic matrix order, and the
 // regression tests prove per-run fingerprints are byte-identical to a
 // sequential execution.
-
-// fan executes run(i, items[i]) for every item across a pool of workers,
-// returning results in input order; it is the internal/fan pool, which the
-// litmus runner shares. See fan.Run for the worker-count semantics.
-func fan[T, R any](workers int, items []T, run func(int, T) R) []R {
-	return fanpool.Run(workers, items, run)
-}
 
 // MachineNames lists the matrix-harness machine shapes.
 func MachineNames() []string { return []string{"2x8", "8x15"} }
@@ -122,7 +115,7 @@ func RunOne(s RunSpec, o Options) RunResult {
 	if s.AutoNUMA {
 		numa.New(numa.Config{ScanPeriod: 2 * sim.Millisecond, PagesPerScan: 1024}).Install(k)
 	}
-	done, err := setupWorkload(k, s)
+	done, err := SetupWorkload(k, s)
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -149,9 +142,10 @@ func RunOne(s RunSpec, o Options) RunResult {
 	return res
 }
 
-// setupWorkload installs the spec's workload on k and returns its
-// completion probe (always-false for open-loop server workloads).
-func setupWorkload(k *kernel.Kernel, s RunSpec) (func() bool, error) {
+// SetupWorkload installs the spec's workload (its Workload, Cores, Pages
+// and Iters) on k and returns its completion probe (always-false for
+// open-loop server workloads). Cores must fit the machine.
+func SetupWorkload(k *kernel.Kernel, s RunSpec) (func() bool, error) {
 	cl := coresN(s.Cores)
 	never := func() bool { return false }
 	switch {
@@ -269,7 +263,7 @@ func DefaultMatrix(quick bool) Matrix {
 // isolated, so the results — including all three fingerprints per run — are
 // identical for every worker count.
 func RunMatrix(specs []RunSpec, workers int, o Options) []RunResult {
-	return fan(workers, specs, func(_ int, s RunSpec) RunResult {
+	return fan.Run(workers, specs, func(_ int, s RunSpec) RunResult {
 		return RunOne(s, o)
 	})
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"testing"
+
+	"latr/internal/fan"
 )
 
 func TestFanPreservesOrder(t *testing.T) {
@@ -11,7 +13,7 @@ func TestFanPreservesOrder(t *testing.T) {
 		items[i] = i * 3
 	}
 	for _, workers := range []int{-1, 0, 1, 2, 7, 100, 1000} {
-		got := fan(workers, items, func(i int, v int) int { return v + i })
+		got := fan.Run(workers, items, func(i int, v int) int { return v + i })
 		for i, v := range got {
 			if v != i*3+i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*3+i)
@@ -21,10 +23,10 @@ func TestFanPreservesOrder(t *testing.T) {
 }
 
 func TestFanEmptyAndSingle(t *testing.T) {
-	if got := fan(4, nil, func(int, int) int { return 1 }); len(got) != 0 {
+	if got := fan.Run(4, nil, func(int, int) int { return 1 }); len(got) != 0 {
 		t.Fatalf("empty fan returned %v", got)
 	}
-	if got := fan(4, []int{9}, func(_ int, v int) int { return v * 2 }); len(got) != 1 || got[0] != 18 {
+	if got := fan.Run(4, []int{9}, func(_ int, v int) int { return v * 2 }); len(got) != 1 || got[0] != 18 {
 		t.Fatalf("single-item fan returned %v", got)
 	}
 }
@@ -88,18 +90,6 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 					workers, i, want, have)
 			}
 		}
-	}
-}
-
-// TestFigureParallelMatchesSequential proves the refactored figure runners
-// render byte-identical tables regardless of the worker count.
-func TestFigureParallelMatchesSequential(t *testing.T) {
-	seqOpts := Options{Quick: true, Seed: 1}
-	parOpts := Options{Quick: true, Seed: 1, Workers: 4}
-	seq := Fig6(seqOpts).String()
-	par := Fig6(parOpts).String()
-	if seq != par {
-		t.Fatalf("Fig6 diverged between 1 and 4 workers:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
 }
 

@@ -9,7 +9,7 @@ import "testing"
 // lazy-replica ablation undercuts eager maintenance on the munmap-heavy
 // churn.
 func TestPtreplTableShape(t *testing.T) {
-	tb := Ptrepl(Options{Quick: true, Seed: 1, Workers: -1})
+	tb := quickTable(t, "ptrepl")
 	if len(tb.Rows) != 16 {
 		t.Fatalf("ptrepl table has %d rows, want 16", len(tb.Rows))
 	}
@@ -40,20 +40,6 @@ func TestPtreplTableShape(t *testing.T) {
 	for key, row := range cell {
 		if key[0] == "linux" && row[8] != "0" {
 			t.Errorf("%v parked %s invalidations under an eager-only policy", key, row[8])
-		}
-	}
-}
-
-// TestPtreplDeterministicAcrossWorkers renders the table at several
-// fan-out widths; output must be byte-identical.
-func TestPtreplDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
-		return Ptrepl(Options{Quick: true, Seed: 7, Workers: workers}).String()
-	}
-	want := render(1)
-	for _, w := range []int{2, 4, 8} {
-		if got := render(w); got != want {
-			t.Fatalf("workers=%d output diverges from sequential:\n%s\nvs\n%s", w, got, want)
 		}
 	}
 }

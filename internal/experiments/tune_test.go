@@ -11,7 +11,7 @@ import (
 // pins the acceptance criterion: the searched genome must beat the paper
 // defaults in at least one evaluation cell (score < 1.0).
 func TestTuneTable(t *testing.T) {
-	tb := Tune(quick)
+	tb := quickTable(t, "tune")
 	if tb.ID != "tune" {
 		t.Fatalf("table id = %q", tb.ID)
 	}

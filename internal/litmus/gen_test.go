@@ -63,8 +63,7 @@ func TestGenerateVirtDeterminism(t *testing.T) {
 // differential oracle under every policy. Host-level balloons and
 // migrations interleave freely with guest churn, yet the exact oracle
 // holds: the flat model's prediction, cross-policy agreement on the
-// architectural state, and byte determinism — at one worker and at four,
-// which is the determinism guarantee the CI virt-smoke job pins.
+// architectural state, and byte determinism — at one worker and at four.
 func TestGeneratedVirtSuite(t *testing.T) {
 	count := 80
 	if testing.Short() {

@@ -214,7 +214,7 @@ func (r *Result) HistoryDump() string {
 }
 
 // HistoryDigest hashes the canonical dump — the determinism witness the
-// CI smoke job compares across worker counts.
+// tune table prints, so renders at different worker counts compare.
 func (r *Result) HistoryDigest() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(r.HistoryDump()))

@@ -549,20 +549,8 @@ func RunExperiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
 	return experiments.ByID(id, o)
 }
 
-// RunAllExperiments regenerates the full evaluation in paper order.
-func RunAllExperiments(o ExperimentOptions) []*ExperimentTable {
-	return experiments.All(o)
-}
-
 // PolicyNames lists the available coherence policies.
 func PolicyNames() []string { return experiments.PolicyNames() }
-
-// RunPtreplExperiment regenerates the page-table replication table
-// (experiment id "ptrepl"): the replication-policy axis crossed with eager
-// vs LATR-lazy replica maintenance on both reference machines.
-func RunPtreplExperiment(o ExperimentOptions) *ExperimentTable {
-	return experiments.Ptrepl(o)
-}
 
 // Policy auto-tuning (internal/tune, DESIGN.md §16): a typed parameter
 // space over the kernel's validated knob set, a seeded evolutionary search
@@ -600,12 +588,6 @@ func RunTuneSearch(cfg TuneSearchConfig) *TuneResult { return tune.Search(cfg) }
 // diffs the resulting coherence spans.
 func RunCounterfactual(cfg CounterfactualConfig) (*CounterfactualDiff, error) {
 	return tune.Counterfactual(cfg)
-}
-
-// RunTuneExperiment regenerates the auto-tuning table (experiment id
-// "tune"): search result plus the knob-sensitivity sweep.
-func RunTuneExperiment(o ExperimentOptions) *ExperimentTable {
-	return experiments.Tune(o)
 }
 
 // ExperimentRunSpec identifies one cell of the experiment matrix.

@@ -154,16 +154,6 @@ func TestInvalidPtreplConfigPanics(t *testing.T) {
 	})
 }
 
-func TestRunPtreplExperimentShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tbl := latr.RunPtreplExperiment(latr.ExperimentOptions{Quick: true, Seed: 1, Workers: -1})
-	if tbl.ID != "ptrepl" || len(tbl.Rows) != 16 {
-		t.Fatalf("ptrepl table = id %q, %d rows", tbl.ID, len(tbl.Rows))
-	}
-}
-
 func TestRemotePagingThroughPublicAPI(t *testing.T) {
 	machine := latr.CustomMachine(2, 2)
 	machine.MemPerNodeBytes = 1500 * 4096
