@@ -93,6 +93,16 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestFigureParallelMatchesSequential proves the figure runners render
+// byte-identical tables regardless of the worker count.
+func TestFigureParallelMatchesSequential(t *testing.T) {
+	seq := quickTable(t, "fig6").String()
+	par := Fig6(Options{Quick: true, Seed: quick.Seed, Workers: 4}).String()
+	if seq != par {
+		t.Fatalf("Fig6 diverged between 1 and 4 workers:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+	}
+}
+
 func TestRunOneMicroCompletes(t *testing.T) {
 	r := RunOne(RunSpec{
 		Policy: "latr", Workload: "micro", Machine: "2x8",

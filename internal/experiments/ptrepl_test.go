@@ -43,3 +43,17 @@ func TestPtreplTableShape(t *testing.T) {
 		}
 	}
 }
+
+// TestPtreplDeterministicAcrossWorkers renders the table at several
+// fan-out widths; output must be byte-identical.
+func TestPtreplDeterministicAcrossWorkers(t *testing.T) {
+	render := func(workers int) string {
+		return Ptrepl(Options{Quick: true, Seed: 7, Workers: workers}).String()
+	}
+	want := render(1)
+	for _, w := range []int{2, 4, 8} {
+		if got := render(w); got != want {
+			t.Fatalf("workers=%d output diverges from sequential:\n%s\nvs\n%s", w, got, want)
+		}
+	}
+}

@@ -31,6 +31,20 @@ func TestRemoteMemoryLATRBeatsLinuxP99(t *testing.T) {
 	}
 }
 
+// TestRemoteMemoryDeterministicAcrossWorkers renders the full experiment
+// table at several fan-out widths; the output must be byte-identical.
+func TestRemoteMemoryDeterministicAcrossWorkers(t *testing.T) {
+	render := func(workers int) string {
+		return RemoteMemory(Options{Quick: true, Seed: 7, Workers: workers}).String()
+	}
+	want := render(1)
+	for _, w := range []int{2, 4, 8} {
+		if got := render(w); got != want {
+			t.Fatalf("workers=%d output diverges from sequential:\n%s\nvs\n%s", w, got, want)
+		}
+	}
+}
+
 // TestRemoteMemoryABISCoherent runs the 2x8 ABIS cell with the reuse
 // invariant checked. Swap-ins fill TLBs; a fill the policy never hears of
 // is a sharer ABIS's next swap-out shootdown skips, and the checker then
